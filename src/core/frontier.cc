@@ -202,23 +202,6 @@ double SparseNorm2(const SparseVector& a) {
   return std::sqrt(sum);
 }
 
-Result<double> FrontierPairScore(Index source, const FrontierChain& left,
-                                 Index target, const FrontierChain& right,
-                                 bool normalized, double relative_threshold,
-                                 const QueryContext& ctx) {
-  HETESIM_ASSIGN_OR_RETURN(
-      SparseVector u, PropagateFrontier(source, left, relative_threshold, ctx));
-  HETESIM_ASSIGN_OR_RETURN(
-      SparseVector v,
-      PropagateFrontier(target, right, relative_threshold, ctx));
-  const double dot = SparseDot(u, v);
-  if (!normalized) return dot;
-  const double nu = SparseNorm2(u);
-  const double nv = SparseNorm2(v);
-  if (nu == 0.0 || nv == 0.0) return 0.0;
-  return dot / (nu * nv);
-}
-
 FrontierChain PlanFrontierChain(const std::vector<SparseMatrix>& steps,
                                 const MetaPath& path, bool left_side,
                                 PathMatrixCache* cache) {

@@ -139,17 +139,6 @@ double SparseDot(const SparseVector& a, const SparseVector& b);
 /// Euclidean norm of a sparse vector.
 double SparseNorm2(const SparseVector& a);
 
-/// Single-pair HeteSim via bidirectional frontiers: both indicators are
-/// propagated to the middle type and combined per Equation 7 (cosine when
-/// `normalized`). No matrix is ever materialized.
-[[nodiscard]] Result<double> FrontierPairScore(Index source,
-                                               const FrontierChain& left,
-                                               Index target,
-                                               const FrontierChain& right,
-                                               bool normalized,
-                                               double relative_threshold,
-                                               const QueryContext& ctx);
-
 /// \brief Single-source top-k executor over a prepared right half.
 ///
 /// A lightweight non-owning view assembled per query (all referenced state

@@ -94,18 +94,6 @@ HeteSimEngine::HeteSimEngine(const HinGraph& graph, HeteSimOptions options,
                              std::shared_ptr<PathMatrixCache> cache)
     : graph_(graph), options_(options), cache_(std::move(cache)) {}
 
-void HeteSimEngine::GetReachMatrices(const MetaPath& path, SparseMatrix* left,
-                                     SparseMatrix* right) const {
-  if (cache_ != nullptr) {
-    *left = *cache_->GetLeft(graph_, path);
-    *right = *cache_->GetRight(graph_, path);
-    return;
-  }
-  PathDecomposition decomposition = DecomposePath(graph_, path);
-  *left = LeftReachMatrix(decomposition);
-  *right = RightReachMatrix(decomposition);
-}
-
 Status HeteSimEngine::GetReachMatrices(const MetaPath& path, const QueryContext& ctx,
                                        SparseMatrix* left, SparseMatrix* right) const {
   if (cache_ != nullptr) {

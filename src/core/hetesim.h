@@ -172,10 +172,8 @@ class HeteSimEngine {
   [[nodiscard]] Result<std::vector<double>> ComputePairsTraced(
       const MetaPath& path, const std::vector<std::pair<Index, Index>>& pairs,
       const QueryContext& ctx, TraceSpan& span) const;
-  /// Left/right reachable matrices for `path`, via the cache when present.
-  void GetReachMatrices(const MetaPath& path, SparseMatrix* left,
-                        SparseMatrix* right) const;
-  /// Context-aware variant; cache misses compute under `ctx`.
+  /// Left/right reachable matrices for `path`, via the cache when present;
+  /// cache misses compute under `ctx`.
   [[nodiscard]] Status GetReachMatrices(const MetaPath& path, const QueryContext& ctx,
                           SparseMatrix* left, SparseMatrix* right) const;
 

@@ -1,6 +1,7 @@
 #include "core/topk.h"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 
 #include "common/check.h"
@@ -75,9 +76,12 @@ Result<std::vector<ScoredPair>> TopKPairs(const HinGraph& graph,
   // and keep the best k overall.
   std::vector<ScoredPair> best;
   const Index num_sources = graph.NumNodes(path.SourceType());
+  // Request one extra so a skipped diagonal hit cannot starve the pool. At
+  // k = INT_MAX there is no room for it and no need: every nonzero target
+  // is already requested.
+  const int per_source = k < std::numeric_limits<int>::max() ? k + 1 : k;
   for (Index s = 0; s < num_sources; ++s) {
-    // Request one extra so a skipped diagonal hit cannot starve the pool.
-    HETESIM_ASSIGN_OR_RETURN(TopKResult result, searcher.Query(s, k + 1));
+    HETESIM_ASSIGN_OR_RETURN(TopKResult result, searcher.Query(s, per_source));
     for (const Scored& item : result.items) {
       if (exclude_diagonal && same_type && item.id == s) continue;
       best.push_back({s, item.id, item.score});

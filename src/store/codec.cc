@@ -8,8 +8,8 @@ namespace hetesim {
 namespace {
 
 constexpr char kMagic[4] = {'H', 'P', 'S', '1'};
-// Same bound as matrix/serialize.cc: refuse absurd shapes from corrupt
-// headers; 2^31 keeps rows * cols inside int64.
+// Refuse absurd shapes from corrupt headers: no dimension may exceed
+// 2^31, which keeps rows * cols inside int64.
 constexpr int64_t kMaxReasonableDimension = int64_t{1} << 31;
 // Signed 32-bit fixed-point scale for the quantized codec.
 constexpr double kQuantScale = 2147483647.0;  // 2^31 - 1
@@ -163,10 +163,14 @@ Result<SparseMatrix> DecodeStoreEntry(std::string_view bytes) {
       nnz > rows * cols) {
     return Status::InvalidArgument("corrupt store entry header");
   }
-  // The payload holds >= 1 byte per entry (row length + column + value all
-  // varint-or-wider); an nnz beyond the remaining bytes is corruption and
-  // must be rejected BEFORE the reserve calls below can attempt a huge
-  // allocation.
+  // The payload holds >= 1 byte per row (its length varint) and per entry
+  // (column + value, varint-or-wider); a row count or nnz beyond the
+  // remaining bytes is corruption and must be rejected BEFORE the reserve
+  // calls below can attempt a huge allocation.
+  if (rows > static_cast<uint64_t>(end - pos)) {
+    return Status::InvalidArgument(
+        "store entry header claims more rows than the payload holds");
+  }
   if (nnz > static_cast<uint64_t>(end - pos)) {
     return Status::InvalidArgument(
         "store entry header claims more entries than the payload holds");

@@ -1,5 +1,6 @@
 #include "common/parallel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
@@ -24,54 +25,50 @@ GrainOptions PerElementGrain() {
   return grain;
 }
 
-TEST(ParallelChunks, CoversRangeExactlyOnce) {
+TEST(ParallelFor, CoversRangeExactlyOnce) {
   std::vector<std::atomic<int>> visits(100);
-  ParallelChunks(0, 100, 4, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      visits[static_cast<size_t>(i)].fetch_add(1);
-    }
-  });
+  ParallelFor(
+      0, 100, 4,
+      [&](int64_t begin, int64_t end) {
+        for (int64_t i = begin; i < end; ++i) {
+          visits[static_cast<size_t>(i)].fetch_add(1);
+        }
+      },
+      PerElementGrain());
   for (const auto& count : visits) EXPECT_EQ(count.load(), 1);
 }
 
-TEST(ParallelChunks, EmptyRangeIsNoop) {
-  bool called = false;
-  ParallelChunks(5, 5, 4, [&](int64_t, int64_t) { called = true; });
-  EXPECT_FALSE(called);
-  ParallelChunks(5, 3, 4, [&](int64_t, int64_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
-TEST(ParallelChunks, SingleThreadRunsInline) {
-  std::thread::id caller = std::this_thread::get_id();
-  std::thread::id executor;
-  ParallelChunks(0, 10, 1, [&](int64_t, int64_t) {
-    executor = std::this_thread::get_id();
-  });
-  EXPECT_EQ(caller, executor);
-}
-
-TEST(ParallelChunks, MoreThreadsThanElements) {
-  std::atomic<int64_t> total{0};
-  ParallelChunks(0, 3, 16, [&](int64_t begin, int64_t end) {
-    total.fetch_add(end - begin);
-  });
-  EXPECT_EQ(total.load(), 3);
-}
-
-TEST(ParallelChunks, ChunksAreDisjointAndOrderedInternally) {
-  std::mutex mutex;
-  std::vector<std::pair<int64_t, int64_t>> chunks;
-  ParallelChunks(10, 110, 7, [&](int64_t begin, int64_t end) {
-    std::lock_guard<std::mutex> lock(mutex);
-    chunks.push_back({begin, end});
-  });
+TEST(ParallelFor, SingleThreadRunsInline) {
+  const std::thread::id caller = std::this_thread::get_id();
   int64_t covered = 0;
-  for (auto [begin, end] : chunks) {
+  ParallelFor(
+      0, 10, 1,
+      [&](int64_t begin, int64_t end) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        covered += end - begin;
+      },
+      PerElementGrain());
+  EXPECT_EQ(covered, 10);
+}
+
+TEST(ParallelFor, BlocksAreDisjointAndPartitionRange) {
+  std::mutex mutex;
+  std::vector<std::pair<int64_t, int64_t>> blocks;
+  ParallelFor(
+      10, 110, 7,
+      [&](int64_t begin, int64_t end) {
+        std::lock_guard<std::mutex> lock(mutex);
+        blocks.push_back({begin, end});
+      },
+      PerElementGrain());
+  std::sort(blocks.begin(), blocks.end());
+  int64_t next = 10;
+  for (auto [begin, end] : blocks) {
+    EXPECT_EQ(begin, next);  // no gap, no overlap
     EXPECT_LT(begin, end);
-    covered += end - begin;
+    next = end;
   }
-  EXPECT_EQ(covered, 100);
+  EXPECT_EQ(next, 110);
 }
 
 TEST(HardwareThreads, AtLeastOne) {
@@ -87,21 +84,26 @@ TEST(ResolveNumThreads, ZeroMeansAllHardwareThreads) {
 
 // --- Centralized range clamping (formerly each caller's job) ---
 
-TEST(ParallelChunks, ZeroThreadsUsesPoolAndCoversRangeOnce) {
+TEST(ParallelFor, ZeroThreadsUsesPoolAndCoversRangeOnce) {
   std::vector<std::atomic<int>> visits(64);
-  ParallelChunks(0, 64, /*num_threads=*/0, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      visits[static_cast<size_t>(i)].fetch_add(1);
-    }
-  });
+  ParallelFor(
+      0, 64, /*num_threads=*/0,
+      [&](int64_t begin, int64_t end) {
+        for (int64_t i = begin; i < end; ++i) {
+          visits[static_cast<size_t>(i)].fetch_add(1);
+        }
+      },
+      PerElementGrain());
   for (const auto& count : visits) EXPECT_EQ(count.load(), 1);
 }
 
 TEST(ParallelFor, EmptyAndReversedRangesAreNoops) {
   bool called = false;
-  ParallelFor(5, 5, 8, [&](int64_t, int64_t) { called = true; });
-  EXPECT_FALSE(called);
-  ParallelFor(9, 2, 0, [&](int64_t, int64_t) { called = true; });
+  const auto body = [&](int64_t, int64_t) { called = true; };
+  ParallelFor(5, 5, 8, body);
+  ParallelFor(9, 2, 0, body);
+  ParallelFor(5, 5, 4, body, PerElementGrain());
+  ParallelFor(5, 3, 4, body, PerElementGrain());
   EXPECT_FALSE(called);
 }
 
@@ -223,21 +225,6 @@ TEST(ThreadPool, StatsCountRegionsAndTasks) {
   pool.ResetStats();
   EXPECT_EQ(pool.stats().regions, 0u);
   EXPECT_EQ(pool.stats().tasks_run, 0u);
-}
-
-// --- The spawn-per-call ablation baseline ---
-
-TEST(ParallelDispatch, SpawnPerCallBaselineCoversRangeOnce) {
-  ASSERT_EQ(GetParallelDispatch(), ParallelDispatch::kPooled);
-  SetParallelDispatch(ParallelDispatch::kSpawnPerCall);
-  std::vector<std::atomic<int>> visits(40);
-  ParallelChunks(0, 40, 4, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      visits[static_cast<size_t>(i)].fetch_add(1);
-    }
-  });
-  SetParallelDispatch(ParallelDispatch::kPooled);
-  for (const auto& count : visits) EXPECT_EQ(count.load(), 1);
 }
 
 TEST(MultiplyParallel, MatchesSequentialBitwise) {

@@ -39,6 +39,7 @@
 #include <gtest/gtest.h>
 
 #include "common/fault_injection.h"
+#include "common/random.h"
 #include "core/hetesim.h"
 #include "core/materialize.h"
 #include "core/topk.h"
@@ -244,6 +245,276 @@ TEST(StoreCodec, ChecksumDetectsEverySingleBitFlip) {
     }
   }
 }
+
+TEST(StoreCodec, CodecNamesRoundTripAndUnknownNamesAreRejected) {
+  for (const StoreCodec codec : {StoreCodec::kLossless, StoreCodec::kQuantized}) {
+    Result<StoreCodec> parsed = StoreCodecFromString(StoreCodecToString(codec));
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(*parsed, codec);
+  }
+  EXPECT_EQ(StoreCodecToString(StoreCodec::kLossless), "lossless");
+  EXPECT_EQ(StoreCodecToString(StoreCodec::kQuantized), "quantized");
+  for (const char* bad : {"", "Lossless", "raw", "quantised", "lossless "}) {
+    EXPECT_TRUE(StoreCodecFromString(bad).status().IsInvalidArgument()) << bad;
+  }
+}
+
+/// LEB128, as the codec writes it, for hand-built headers.
+void AppendTestVarint(std::string* out, uint64_t value) {
+  while (value >= 0x80) {
+    out->push_back(static_cast<char>((value & 0x7f) | 0x80));
+    value >>= 7;
+  }
+  out->push_back(static_cast<char>(value));
+}
+
+/// "HPS1" | lossless | rows | cols | nnz, with no payload after it.
+std::string HandBuiltHeader(uint64_t rows, uint64_t cols, uint64_t nnz) {
+  std::string bytes = "HPS1";
+  bytes.push_back(static_cast<char>(StoreCodec::kLossless));
+  AppendTestVarint(&bytes, rows);
+  AppendTestVarint(&bytes, cols);
+  AppendTestVarint(&bytes, nnz);
+  return bytes;
+}
+
+TEST(StoreCodec, HeaderClaimingMoreThanPayloadHoldsIsRejected) {
+  // More entries than payload bytes.
+  std::string entries = HandBuiltHeader(4, 4, 16);
+  entries.append(4, '\0');
+  EXPECT_TRUE(DecodeStoreEntry(entries).status().IsInvalidArgument());
+  // More rows than payload bytes: every row costs at least one row-length
+  // byte, so a huge row count on a short entry is corruption, rejected
+  // before any row array is sized from it.
+  std::string rows = HandBuiltHeader(uint64_t{1} << 31, 1, 0);
+  rows.append(3, '\0');
+  EXPECT_TRUE(DecodeStoreEntry(rows).status().IsInvalidArgument());
+  // Dimensions past 2^31 and nnz past rows * cols.
+  EXPECT_TRUE(DecodeStoreEntry(HandBuiltHeader((uint64_t{1} << 31) + 1, 1, 0))
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(DecodeStoreEntry(HandBuiltHeader(1, (uint64_t{1} << 31) + 1, 0))
+                  .status()
+                  .IsInvalidArgument());
+  std::string dense = HandBuiltHeader(2, 2, 5);
+  dense.append(64, '\0');
+  EXPECT_TRUE(DecodeStoreEntry(dense).status().IsInvalidArgument());
+}
+
+TEST(StoreCodec, RowLengthsMustSumToNnz) {
+  // 2x3 with nnz 2, but the row lengths say 1 + 0.
+  std::string bytes = HandBuiltHeader(2, 3, 2);
+  AppendTestVarint(&bytes, 1);
+  AppendTestVarint(&bytes, 0);
+  AppendTestVarint(&bytes, 0);  // column of the one listed entry
+  bytes.append(2 * sizeof(double), '\0');
+  EXPECT_TRUE(DecodeStoreEntry(bytes).status().IsInvalidArgument());
+  // ...or 2 + 1, more than nnz.
+  std::string over = HandBuiltHeader(2, 3, 2);
+  AppendTestVarint(&over, 2);
+  AppendTestVarint(&over, 1);
+  over.append(3 + 3 * sizeof(double), '\0');
+  EXPECT_TRUE(DecodeStoreEntry(over).status().IsInvalidArgument());
+}
+
+TEST(StoreCodec, ColumnPastTheLastIsRejected) {
+  // 1x3 with two entries: first column 1, then delta-1 = 1 -> column 3.
+  std::string bytes = HandBuiltHeader(1, 3, 2);
+  AppendTestVarint(&bytes, 2);
+  AppendTestVarint(&bytes, 1);
+  AppendTestVarint(&bytes, 1);
+  const double half = 0.5;
+  for (int k = 0; k < 2; ++k) {
+    bytes.append(reinterpret_cast<const char*>(&half), sizeof(half));
+  }
+  EXPECT_TRUE(DecodeStoreEntry(bytes).status().IsInvalidArgument());
+  // The same entry with delta-1 = 0 (column 2) is well formed.
+  bytes[bytes.size() - 2 * sizeof(double) - 1] = 0;
+  Result<SparseMatrix> decoded = DecodeStoreEntry(bytes);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->col_idx(), (std::vector<Index>{1, 2}));
+}
+
+TEST(StoreCodec, OverlongVarintIsRejected) {
+  // An 11th continuation byte cannot be part of any u64.
+  std::string bytes = "HPS1";
+  bytes.push_back(static_cast<char>(StoreCodec::kLossless));
+  bytes.append(10, static_cast<char>(0x80));
+  bytes.push_back(0x00);
+  bytes.append("\x01\x00", 2);
+  EXPECT_TRUE(DecodeStoreEntry(bytes).status().IsInvalidArgument());
+}
+
+TEST(StoreCodec, NegativeQuantizationScaleIsRejected) {
+  std::string bytes;
+  ASSERT_TRUE(EncodeStoreEntry(SparseMatrix::FromTriplets(1, 2, {{0, 1, 0.5}}),
+                               StoreCodec::kQuantized, &bytes)
+                  .ok());
+  // A 1-nnz quantized entry ends with scale f64 then one int32.
+  const double negative = -0.5;
+  std::memcpy(bytes.data() + bytes.size() - sizeof(int32_t) - sizeof(double),
+              &negative, sizeof(double));
+  EXPECT_TRUE(DecodeStoreEntry(bytes).status().IsInvalidArgument());
+}
+
+// ---------------------------------------------------------------------------
+// HPS1 properties over random shapes, one instance per seed.
+// ---------------------------------------------------------------------------
+
+/// A random `rows x cols` CSR matrix (either may be 0) with Bernoulli
+/// density in [0.02, 0.6]. Probability-like values in (0, 1] when
+/// `probabilities`; otherwise signed values spanning 1e-300..1e300,
+/// including -0.0, which only a bitwise codec preserves.
+SparseMatrix RandomStoreMatrix(Rng& rng, bool probabilities) {
+  const Index rows = static_cast<Index>(rng.Uniform(48));
+  const Index cols = static_cast<Index>(rng.Uniform(48));
+  const double density = 0.02 + 0.58 * rng.UniformDouble();
+  std::vector<Triplet> triplets;
+  for (Index r = 0; r < rows; ++r) {
+    for (Index c = 0; c < cols; ++c) {
+      if (!rng.Bernoulli(density)) continue;
+      double value = 0.0;
+      if (probabilities) {
+        value = 1.0 - rng.UniformDouble();  // (0, 1]
+      } else if (rng.Uniform(16) == 0) {
+        value = -0.0;
+      } else {
+        const double magnitude =
+            std::pow(10.0, static_cast<double>(rng.UniformInt(-300, 300)));
+        value = (rng.Bernoulli(0.5) ? -1.0 : 1.0) * rng.UniformDouble() * magnitude;
+      }
+      triplets.push_back({r, c, value});
+    }
+  }
+  return SparseMatrix::FromTriplets(rows, cols, std::move(triplets));
+}
+
+/// Every structural invariant `SparseMatrix` promises its readers.
+void ExpectWellFormed(const SparseMatrix& m) {
+  ASSERT_EQ(m.row_ptr().size(), static_cast<size_t>(m.rows()) + 1);
+  ASSERT_EQ(m.row_ptr().front(), 0);
+  ASSERT_EQ(m.row_ptr().back(), m.NumNonZeros());
+  ASSERT_EQ(m.col_idx().size(), m.values().size());
+  for (Index r = 0; r < m.rows(); ++r) {
+    const size_t begin = static_cast<size_t>(m.row_ptr()[static_cast<size_t>(r)]);
+    const size_t end = static_cast<size_t>(m.row_ptr()[static_cast<size_t>(r) + 1]);
+    ASSERT_LE(begin, end) << "row " << r;
+    for (size_t k = begin; k < end; ++k) {
+      ASSERT_GE(m.col_idx()[k], 0);
+      ASSERT_LT(m.col_idx()[k], m.cols());
+      if (k > begin) {
+        ASSERT_LT(m.col_idx()[k - 1], m.col_idx()[k]);
+      }
+      ASSERT_TRUE(std::isfinite(m.values()[k]));
+    }
+  }
+}
+
+class StoreCodecProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(StoreCodecProperty, LosslessIsBitwiseAcrossShapes) {
+  Rng rng(GetParam());
+  for (int trial = 0; trial < 4; ++trial) {
+    const SparseMatrix matrix = RandomStoreMatrix(rng, /*probabilities=*/false);
+    std::string bytes;
+    ASSERT_TRUE(EncodeStoreEntry(matrix, StoreCodec::kLossless, &bytes).ok());
+    Result<SparseMatrix> decoded = DecodeStoreEntry(bytes);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    ExpectBitwiseEqual(matrix, *decoded);
+  }
+}
+
+TEST_P(StoreCodecProperty, QuantizedKeepsStructureAndContractAcrossShapes) {
+  Rng rng(GetParam() * 7919 + 1);
+  for (int trial = 0; trial < 4; ++trial) {
+    const SparseMatrix matrix = RandomStoreMatrix(rng, /*probabilities=*/true);
+    std::string bytes;
+    ASSERT_TRUE(EncodeStoreEntry(matrix, StoreCodec::kQuantized, &bytes).ok());
+    Result<SparseMatrix> decoded = DecodeStoreEntry(bytes);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    ASSERT_EQ(matrix.rows(), decoded->rows());
+    ASSERT_EQ(matrix.cols(), decoded->cols());
+    ASSERT_EQ(matrix.row_ptr(), decoded->row_ptr());
+    ASSERT_EQ(matrix.col_idx(), decoded->col_idx());
+    for (size_t i = 0; i < matrix.values().size(); ++i) {
+      EXPECT_LE(std::fabs(matrix.values()[i] - decoded->values()[i]), 1e-9)
+          << "value " << i;
+    }
+  }
+}
+
+TEST_P(StoreCodecProperty, TruncatedOrPaddedEntriesAreRejected) {
+  Rng rng(GetParam() * 104729 + 3);
+  for (const StoreCodec codec : {StoreCodec::kLossless, StoreCodec::kQuantized}) {
+    const SparseMatrix matrix = RandomStoreMatrix(rng, /*probabilities=*/true);
+    std::string bytes;
+    ASSERT_TRUE(EncodeStoreEntry(matrix, codec, &bytes).ok());
+    for (int cut = 0; cut < 32; ++cut) {
+      const size_t len = static_cast<size_t>(rng.Uniform(bytes.size()));
+      EXPECT_FALSE(DecodeStoreEntry(std::string_view(bytes.data(), len)).ok())
+          << "prefix of " << len << " of " << bytes.size() << " bytes decoded";
+    }
+    std::string padded = bytes;
+    padded.append(static_cast<size_t>(1 + rng.Uniform(16)),
+                  static_cast<char>(rng.Uniform(256)));
+    EXPECT_FALSE(DecodeStoreEntry(padded).ok());
+  }
+}
+
+TEST_P(StoreCodecProperty, CorruptedBytesNeverDecodeToAMalformedMatrix) {
+  Rng rng(GetParam() * 31 + 7);
+  for (const StoreCodec codec : {StoreCodec::kLossless, StoreCodec::kQuantized}) {
+    const SparseMatrix matrix = RandomStoreMatrix(rng, /*probabilities=*/true);
+    std::string bytes;
+    ASSERT_TRUE(EncodeStoreEntry(matrix, codec, &bytes).ok());
+    // Corrupt 1-3 random bytes, header included: the decoder must either
+    // reject the entry or return a matrix every reader can trust.
+    for (int attempt = 0; attempt < 40; ++attempt) {
+      std::string corrupted = bytes;
+      const int flips = static_cast<int>(1 + rng.Uniform(3));
+      for (int f = 0; f < flips; ++f) {
+        corrupted[static_cast<size_t>(rng.Uniform(corrupted.size()))] ^=
+            static_cast<char>(1 + rng.Uniform(255));
+      }
+      Result<SparseMatrix> decoded = DecodeStoreEntry(corrupted);
+      if (decoded.ok()) {
+        ExpectWellFormed(*decoded);
+      }
+    }
+  }
+}
+
+TEST_P(StoreCodecProperty, ReopenedStoreReturnsEveryEntryBitwise) {
+  Rng rng(GetParam() * 6151 + 11);
+  const fs::path dir = fs::path(::testing::TempDir()) /
+                       ("hetesim_store_property_" + std::to_string(GetParam()));
+  fs::remove_all(dir);
+  StoreOptions options;
+  options.directory = dir.string();
+  options.graph_digest = GetParam();
+  std::vector<SparseMatrix> written;
+  {
+    Result<std::unique_ptr<MatrixStore>> store = MatrixStore::Open(options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    for (int i = 0; i < 3; ++i) {
+      written.push_back(RandomStoreMatrix(rng, /*probabilities=*/false));
+      ASSERT_TRUE((*store)->Put("PM:" + std::to_string(i), written.back()).ok());
+    }
+  }
+  Result<std::unique_ptr<MatrixStore>> reopened = MatrixStore::Open(options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->stats().entries, written.size());
+  EXPECT_EQ((*reopened)->stats().corrupt_entries, 0u);
+  for (size_t i = 0; i < written.size(); ++i) {
+    Result<SparseMatrix> back = (*reopened)->Get("PM:" + std::to_string(i));
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    ExpectBitwiseEqual(written[i], *back);
+  }
+  fs::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StoreCodecProperty,
+                         ::testing::Range<uint64_t>(1, 13));
 
 // ---------------------------------------------------------------------------
 // MatrixStore semantics on a fresh directory.

@@ -1,5 +1,7 @@
 #include "core/topk.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "test_util.h"
@@ -188,6 +190,38 @@ TEST(TopKPairs, KZeroAndValidation) {
   MetaPath apc = *MetaPath::Parse(g.schema(), "APC");
   EXPECT_TRUE(TopKPairs(g, apc, 0)->empty());
   EXPECT_TRUE(TopKPairs(g, apc, -1).status().IsInvalidArgument());
+}
+
+TEST(TopKPairs, MaxIntKReturnsEveryNonzeroPair) {
+  // k + 1 for the diagonal slot must not overflow at INT_MAX: the answer
+  // holds every nonzero pair, exactly as when k is the number of pairs.
+  HinGraph g = testing::RandomTripartite(10, 12, 8, 0.25, 321);
+  for (RelevanceAlgo algo : {RelevanceAlgo::kExhaustive, RelevanceAlgo::kPruned,
+                             RelevanceAlgo::kFrontier}) {
+    HeteSimOptions options;
+    options.algo = algo;
+    for (const char* spec : {"ABC", "ABA"}) {
+      MetaPath path = *MetaPath::Parse(g.schema(), spec);
+      DenseMatrix scores = HeteSimEngine(g).Compute(path);
+      size_t nonzero = 0;
+      for (double score : scores.data()) nonzero += score > 0.0 ? 1 : 0;
+      ASSERT_GT(nonzero, 0u) << spec;
+      const int num_pairs = static_cast<int>(scores.rows() * scores.cols());
+      std::vector<ScoredPair> all = *TopKPairs(
+          g, path, std::numeric_limits<int>::max(), false, options);
+      std::vector<ScoredPair> bounded =
+          *TopKPairs(g, path, num_pairs, false, options);
+      size_t positive = 0;
+      for (const ScoredPair& pair : all) positive += pair.score > 0.0 ? 1 : 0;
+      EXPECT_EQ(positive, nonzero) << spec << " " << AlgoName(algo);
+      ASSERT_EQ(bounded.size(), all.size()) << spec << " " << AlgoName(algo);
+      for (size_t i = 0; i < all.size(); ++i) {
+        EXPECT_EQ(all[i].source, bounded[i].source) << spec << " rank " << i;
+        EXPECT_EQ(all[i].target, bounded[i].target) << spec << " rank " << i;
+        EXPECT_EQ(all[i].score, bounded[i].score) << spec << " rank " << i;
+      }
+    }
+  }
 }
 
 }  // namespace

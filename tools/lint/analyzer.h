@@ -11,7 +11,7 @@
 /// \file
 /// \brief `hetesim_analyze`: the whole-program static analyzer.
 ///
-/// Where `hetesim_lint` (linter.h) checks one translation unit at a time,
+/// Where the per-file rules (linter.h) check one translation unit at a time,
 /// this analyzer builds a cross-file model of the repository — the include
 /// graph, every function definition with its lock acquisitions and loops,
 /// every fault-point literal — and enforces the invariants that only exist
@@ -42,8 +42,8 @@
 ///   fault-untested  every registry entry must be referenced by at least
 ///                   one test under tests/.
 ///
-/// Per-file `hetesim_lint` rules also run over src/ files, so one
-/// `hetesim_analyze` invocation is a superset of `hetesim_lint src/`.
+/// The per-file rules (linter.h) also run over src/ files, so one
+/// `hetesim_analyze` invocation checks every project convention.
 ///
 /// Point suppressions reuse the same-line `// hetesim-lint: allow(rule-id)`
 /// marker; pre-existing findings can be carried in a baseline file of
@@ -72,7 +72,7 @@ struct AnalyzerConfig {
   std::string fault_registry_path = "tools/lint/fault_sites.txt";
   bool has_fault_registry = false;
 
-  /// Also run the per-file hetesim_lint rules over src-role files.
+  /// Also run the per-file linter.h rules over src-role files.
   bool per_file_rules = true;
 };
 

@@ -7,8 +7,9 @@
 #include "source_scan.h"
 
 /// \file
-/// \brief The `hetesim_lint` project checker: token-level enforcement of the
+/// \brief The per-file project checker: token-level enforcement of the
 /// project conventions the compiler cannot see (DESIGN.md §11).
+/// `hetesim_analyze` runs these rules over src/.
 ///
 /// The checker is deliberately a *token scan*, not a parser: it strips
 /// comments and string literals (preserving line numbers) and then looks for

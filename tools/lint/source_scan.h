@@ -7,10 +7,10 @@
 #include <vector>
 
 /// \file
-/// \brief The shared token-scan substrate behind both checkers.
+/// \brief The shared token-scan substrate behind both rule sets.
 ///
-/// `hetesim_lint` (per-file conventions, linter.h) and `hetesim_analyze`
-/// (whole-program invariants, analyzer.h) are deliberately *token scanners*,
+/// The per-file conventions (linter.h) and the whole-program invariants
+/// (analyzer.h) of `hetesim_analyze` are deliberately *token scanners*,
 /// not parsers: they strip comments and literals (preserving line numbers)
 /// and match token patterns in what remains. That keeps them dependency-free
 /// and immune to build flags; the shared primitives live here so both tools
